@@ -33,6 +33,9 @@
 //! 1. **Memory** — a sharded `RwLock` map of entries. This is the hot path
 //!    of the scheduler service: many worker threads probe concurrently, and
 //!    a hit is a shard read-lock plus an `Arc` clone — no parsing, no I/O.
+//!    Each entry is a [`ResidentSchedule`], which encodes the schedule's
+//!    compact JSON at most once, so every reply that ships it reuses the
+//!    same bytes.
 //!    The tier is optionally bounded ([`ScheduleCache::with_memory_cap`]):
 //!    beyond the cap the oldest-inserted entries are evicted (memory copy
 //!    only — the disk tier is the archive), and the
@@ -42,7 +45,11 @@
 //!    *write-behind* persistence layer: [`ScheduleCache::store`] inserts
 //!    into the memory tier synchronously and hands the serialization and
 //!    file write to a background persister thread. A disk hit (fresh
-//!    process, warm `target/`) is promoted into the memory tier.
+//!    process, warm `target/`) is promoted into the memory tier. Until its
+//!    write lands, a stored entry also sits in a pending-writes map that
+//!    probes consult before the disk, so an entry the capped memory tier
+//!    evicts early is still served (as a disk hit) rather than lost from
+//!    both tiers for the length of the persister's backlog.
 //! 3. **Warm artifacts** — entries stored through
 //!    [`ScheduleCache::store_with_artifacts`] additionally carry
 //!    [`SynthesisArtifacts`]: the inputs the schedule was synthesized from
@@ -76,7 +83,7 @@ use crate::config::SchedulerConfig;
 use crate::export::{
     mode_graph_from_value, mode_graph_to_value, scheduler_config_from_value,
     scheduler_config_to_value, system_from_value, system_schedule_from_json,
-    system_schedule_to_json, system_to_value,
+    system_schedule_to_json, system_schedule_to_value, system_to_value,
 };
 use crate::ids::ModeId;
 use crate::json::{JsonError, Value};
@@ -87,10 +94,10 @@ use crate::synthesis::{
 };
 use crate::system::System;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use ttw_milp::Basis;
 
 /// Bumped whenever the cached representation (or anything influencing the
@@ -118,6 +125,13 @@ static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// reproducibility and cache keying share one definition.
 pub fn system_fingerprint(system: &System, graph: &ModeGraph) -> String {
     let mut out = String::new();
+    write_fingerprint(&mut out, system, graph);
+    out
+}
+
+/// Writes the [`system_fingerprint`] text into any `fmt::Write` sink, so the
+/// cache key can hash it without building the string.
+fn write_fingerprint(out: &mut impl fmt::Write, system: &System, graph: &ModeGraph) {
     for (id, node) in system.nodes() {
         let _ = writeln!(out, "node {id} {}", node.name);
     }
@@ -148,49 +162,54 @@ pub fn system_fingerprint(system: &System, graph: &ModeGraph) -> String {
     for (from, to) in graph.edges() {
         let _ = writeln!(out, "edge {from} -> {to}");
     }
-    out
 }
 
-/// The full key text a cache entry is hashed from: system/graph fingerprint
-/// plus everything else the synthesized bytes depend on.
-fn key_text(
-    system: &System,
-    graph: &ModeGraph,
-    config: &SchedulerConfig,
-    backend_name: &str,
-) -> String {
-    format!(
-        "format={CACHE_FORMAT_VERSION}\nversion={}\nbackend={backend_name}\nconfig={config:?}\n{}",
-        env!("CARGO_PKG_VERSION"),
-        system_fingerprint(system, graph),
-    )
-}
-
-/// FNV-1a 64-bit over the key text — stable across platforms and runs, and
-/// good enough for a content-addressed cache whose entries are also
+/// FNV-1a 64-bit as a `fmt::Write` sink — stable across platforms and runs,
+/// and good enough for a content-addressed cache whose entries are also
 /// self-describing (a collision would merely serve a valid schedule of a
 /// different system, and the key text includes every byte the schedule
 /// depends on, making that astronomically unlikely within one cache dir).
-fn fnv1a64(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
 }
 
-/// Computes the cache key for a synthesis request.
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+fn fnv1a64(text: &str) -> u64 {
+    let mut hash = Fnv1a::new();
+    let _ = hash.write_str(text);
+    hash.0
+}
+
+/// Computes the cache key for a synthesis request: the FNV-1a hash of the
+/// key text — format and crate versions, backend, the full configuration and
+/// the [`system_fingerprint`] — streamed into the hasher piece by piece.
 pub fn synthesis_key(
     system: &System,
     graph: &ModeGraph,
     config: &SchedulerConfig,
     backend_name: &str,
 ) -> String {
-    format!(
-        "{:016x}",
-        fnv1a64(&key_text(system, graph, config, backend_name))
-    )
+    let mut hash = Fnv1a::new();
+    let _ = write!(
+        hash,
+        "format={CACHE_FORMAT_VERSION}\nversion={}\nbackend={backend_name}\nconfig={config:?}\n",
+        env!("CARGO_PKG_VERSION"),
+    );
+    write_fingerprint(&mut hash, system, graph);
+    format!("{:016x}", hash.0)
 }
 
 /// Whether a cached-synthesis call was served from the cache or had to run
@@ -213,13 +232,57 @@ impl CacheOutcome {
     }
 }
 
+/// A schedule resident in the memory tier, plus its compact JSON encoding
+/// ([`crate::export::system_schedule_to_value`] rendered by
+/// [`Value::to_json`]), computed at most once, on first use.
+///
+/// Schedules in the cache never change, so every reply that ships one can
+/// embed the same bytes: a warm hit of the scheduler service copies them
+/// instead of re-walking the schedule.
+pub struct ResidentSchedule {
+    schedule: SystemSchedule,
+    compact_json: OnceLock<String>,
+}
+
+impl ResidentSchedule {
+    /// Wraps a schedule; nothing is encoded until
+    /// [`ResidentSchedule::compact_json`] is first called.
+    pub fn new(schedule: SystemSchedule) -> Self {
+        ResidentSchedule {
+            schedule,
+            compact_json: OnceLock::new(),
+        }
+    }
+
+    /// The schedule.
+    pub fn schedule(&self) -> &SystemSchedule {
+        &self.schedule
+    }
+
+    /// The schedule's compact JSON, encoded on the first call and shared by
+    /// every later one.
+    pub fn compact_json(&self) -> &str {
+        self.compact_json
+            .get_or_init(|| system_schedule_to_value(&self.schedule).to_json())
+    }
+}
+
+impl fmt::Debug for ResidentSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResidentSchedule")
+            .field("schedule", &self.schedule)
+            .field("encoded_bytes", &self.compact_json.get().map(String::len))
+            .finish()
+    }
+}
+
 /// Which tier served a probe, with the shared entry.
 #[derive(Debug, Clone)]
 pub enum CacheProbe {
     /// Served from the in-process memory tier.
-    Memory(Arc<SystemSchedule>),
+    Memory(Arc<ResidentSchedule>),
     /// Served from the on-disk tier (and promoted into the memory tier).
-    Disk(Arc<SystemSchedule>),
+    Disk(Arc<ResidentSchedule>),
     /// A disk entry exists but does not parse; the next store overwrites it.
     Corrupt,
     /// No entry in either tier.
@@ -228,9 +291,9 @@ pub enum CacheProbe {
 
 impl CacheProbe {
     /// The schedule, when the probe hit either tier.
-    pub fn schedule(&self) -> Option<&Arc<SystemSchedule>> {
+    pub fn schedule(&self) -> Option<&SystemSchedule> {
         match self {
-            CacheProbe::Memory(s) | CacheProbe::Disk(s) => Some(s),
+            CacheProbe::Memory(s) | CacheProbe::Disk(s) => Some(s.schedule()),
             CacheProbe::Corrupt | CacheProbe::Absent => None,
         }
     }
@@ -346,7 +409,7 @@ pub fn artifacts_from_json(text: &str) -> Result<SynthesisArtifacts, JsonError> 
 /// live and die together under the eviction policy.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    schedule: Arc<SystemSchedule>,
+    schedule: Arc<ResidentSchedule>,
     artifacts: Option<Arc<SynthesisArtifacts>>,
 }
 
@@ -363,11 +426,28 @@ enum PersistJob {
     /// Serialize and publish one entry.
     Write {
         key: String,
-        schedule: Arc<SystemSchedule>,
+        schedule: Arc<ResidentSchedule>,
         artifacts: Option<Arc<SynthesisArtifacts>>,
     },
     /// Acknowledge once every previously enqueued write has been published.
     Flush(mpsc::SyncSender<()>),
+}
+
+/// Entries handed to the persister whose disk write has not landed yet, by
+/// key. A probe that misses the memory tier looks here before the disk, so
+/// an entry evicted before its write lands is still found.
+type PendingWrites = Arc<Mutex<HashMap<String, CacheEntry>>>;
+
+/// Drops `key`'s pending entry once `schedule`'s write has landed, unless a
+/// later store of the key already replaced it.
+fn retire_pending(pending: &PendingWrites, key: &str, schedule: &Arc<ResidentSchedule>) {
+    let mut pending = pending.lock().unwrap_or_else(|e| e.into_inner());
+    if pending
+        .get(key)
+        .is_some_and(|entry| Arc::ptr_eq(&entry.schedule, schedule))
+    {
+        pending.remove(key);
+    }
 }
 
 /// The write-behind persister: a channel into a background thread that
@@ -395,6 +475,7 @@ pub struct ScheduleCache {
     /// The configured total memory-tier cap (before the per-shard split).
     memory_cap: Option<usize>,
     persister: Mutex<Option<Persister>>,
+    pending: PendingWrites,
     hits: AtomicUsize,
     misses: AtomicUsize,
     corrupt: AtomicUsize,
@@ -427,6 +508,7 @@ impl ScheduleCache {
             shard_cap: None,
             memory_cap: None,
             persister: Mutex::new(None),
+            pending: PendingWrites::default(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             corrupt: AtomicUsize::new(0),
@@ -586,33 +668,46 @@ impl ScheduleCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return CacheProbe::Memory(Arc::clone(&entry.schedule));
         }
-        let Some(path) = self.path_for(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return CacheProbe::Absent;
-        };
-        let Ok(text) = std::fs::read_to_string(path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return CacheProbe::Absent;
-        };
-        match system_schedule_from_json(&text) {
-            Ok(schedule) => {
-                let entry = Arc::new(schedule);
-                self.insert_memory(
-                    key,
-                    CacheEntry {
-                        schedule: Arc::clone(&entry),
-                        artifacts: None,
-                    },
-                );
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CacheProbe::Disk(entry)
-            }
-            Err(_) => {
+        let entry = match self.disk_entry(key) {
+            Some(Ok(entry)) => entry,
+            Some(Err(_)) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
-                CacheProbe::Corrupt
+                return CacheProbe::Corrupt;
             }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return CacheProbe::Absent;
+            }
+        };
+        let schedule = Arc::clone(&entry.schedule);
+        self.insert_memory(key, entry);
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        CacheProbe::Disk(schedule)
+    }
+
+    /// The disk tier's entry for `key`: the entry queued for its write if
+    /// that write has not landed (an early eviction from the memory tier
+    /// must not lose it), else the parsed file. `None` when neither exists,
+    /// an error when the file does not parse.
+    fn disk_entry(&self, key: &str) -> Option<Result<CacheEntry, JsonError>> {
+        if let Some(entry) = self.pending_entry(key) {
+            return Some(Ok(entry));
         }
+        let text = std::fs::read_to_string(self.path_for(key)?).ok()?;
+        Some(system_schedule_from_json(&text).map(|schedule| CacheEntry {
+            schedule: Arc::new(ResidentSchedule::new(schedule)),
+            artifacts: None,
+        }))
+    }
+
+    /// The entry queued for `key`'s disk write, if that write has not landed.
+    fn pending_entry(&self, key: &str) -> Option<CacheEntry> {
+        self.pending
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key)
+            .cloned()
     }
 
     /// Fetches a key's warm-start artifacts, memory tier first, then the
@@ -630,6 +725,9 @@ impl ScheduleCache {
             if let Some(artifacts) = &entry.artifacts {
                 return Some(Arc::clone(artifacts));
             }
+        }
+        if let Some(artifacts) = self.pending_entry(key).and_then(|entry| entry.artifacts) {
+            return Some(artifacts);
         }
         let text = std::fs::read_to_string(self.warm_path_for(key)?).ok()?;
         let artifacts = Arc::new(artifacts_from_json(&text).ok()?);
@@ -649,14 +747,14 @@ impl ScheduleCache {
     /// Looks a key up in either tier; a missing or corrupt entry is `None`
     /// (a corrupt entry simply behaves as a miss — `store` overwrites it).
     pub fn lookup(&self, key: &str) -> Option<SystemSchedule> {
-        self.probe(key).schedule().map(|s| (**s).clone())
+        self.probe(key).schedule().cloned()
     }
 
     /// [`ScheduleCache::probe`] without the accounting: checks both tiers
     /// (promoting a disk hit) but bumps no counter. Used for *auxiliary*
     /// lookups — fetching a resynthesis request's predecessor — that must
     /// not show up as hits or misses of the request stream.
-    pub fn peek(&self, key: &str) -> Option<Arc<SystemSchedule>> {
+    pub fn peek(&self, key: &str) -> Option<Arc<ResidentSchedule>> {
         if let Some(entry) = self
             .shard(key)
             .read()
@@ -666,24 +764,19 @@ impl ScheduleCache {
         {
             return Some(Arc::clone(&entry.schedule));
         }
-        let text = std::fs::read_to_string(self.path_for(key)?).ok()?;
-        let entry = Arc::new(system_schedule_from_json(&text).ok()?);
-        self.insert_memory(
-            key,
-            CacheEntry {
-                schedule: Arc::clone(&entry),
-                artifacts: None,
-            },
-        );
-        Some(entry)
+        let entry = self.disk_entry(key)?.ok()?;
+        let schedule = Arc::clone(&entry.schedule);
+        self.insert_memory(key, entry);
+        Some(schedule)
     }
 
     /// Stores a schedule under a key: the memory tier is updated
     /// synchronously, the disk write happens behind the caller's back on
     /// the persister thread (best effort — an unwritable cache directory
-    /// degrades to "memory only", never to an error).
-    pub fn store(&self, key: &str, schedule: &SystemSchedule) {
-        self.store_with_artifacts(key, schedule, None);
+    /// degrades to "memory only", never to an error). Returns the resident
+    /// entry, so a caller replying with the schedule can share its encoding.
+    pub fn store(&self, key: &str, schedule: &SystemSchedule) -> Arc<ResidentSchedule> {
+        self.store_with_artifacts(key, schedule, None)
     }
 
     /// [`ScheduleCache::store`], additionally attaching the warm-start
@@ -694,26 +787,37 @@ impl ScheduleCache {
         key: &str,
         schedule: &SystemSchedule,
         artifacts: Option<&SynthesisArtifacts>,
-    ) {
-        let schedule = Arc::new(schedule.clone());
+    ) -> Arc<ResidentSchedule> {
+        let resident = Arc::new(ResidentSchedule::new(schedule.clone()));
         let artifacts = artifacts.map(|a| Arc::new(a.clone()));
         self.insert_memory(
             key,
             CacheEntry {
-                schedule: Arc::clone(&schedule),
+                schedule: Arc::clone(&resident),
                 artifacts: artifacts.clone(),
             },
         );
         let Some(dir) = self.dir.clone() else {
-            return;
+            return resident;
         };
+        self.pending
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(
+                key.to_string(),
+                CacheEntry {
+                    schedule: Arc::clone(&resident),
+                    artifacts: artifacts.clone(),
+                },
+            );
         let job = PersistJob::Write {
             key: key.to_string(),
-            schedule,
+            schedule: Arc::clone(&resident),
             artifacts,
         };
         let mut guard = self.persister.lock().unwrap_or_else(|e| e.into_inner());
-        let persister = guard.get_or_insert_with(|| spawn_persister(dir.clone()));
+        let persister =
+            guard.get_or_insert_with(|| spawn_persister(dir.clone(), Arc::clone(&self.pending)));
         if let Err(mpsc::SendError(PersistJob::Write {
             key,
             schedule,
@@ -722,8 +826,10 @@ impl ScheduleCache {
         {
             // The persister thread died (it never panics by construction,
             // but stay safe): publish inline instead of losing the entry.
-            persist_entry(&dir, &key, &schedule, artifacts.as_deref());
+            persist_entry(&dir, &key, schedule.schedule(), artifacts.as_deref());
+            retire_pending(&self.pending, &key, &schedule);
         }
+        resident
     }
 
     fn shard(&self, key: &str) -> &RwLock<Shard> {
@@ -782,8 +888,9 @@ fn warm_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("ttw-{key}.warm.json"))
 }
 
-/// Spawns the write-behind persister thread for `dir`.
-fn spawn_persister(dir: PathBuf) -> Persister {
+/// Spawns the write-behind persister thread for `dir`; it retires each
+/// entry from `pending` once its write has landed.
+fn spawn_persister(dir: PathBuf, pending: PendingWrites) -> Persister {
     let (sender, receiver) = mpsc::channel::<PersistJob>();
     let handle = std::thread::Builder::new()
         .name("ttw-cache-persister".into())
@@ -794,7 +901,10 @@ fn spawn_persister(dir: PathBuf) -> Persister {
                         key,
                         schedule,
                         artifacts,
-                    } => persist_entry(&dir, &key, &schedule, artifacts.as_deref()),
+                    } => {
+                        persist_entry(&dir, &key, schedule.schedule(), artifacts.as_deref());
+                        retire_pending(&pending, &key, &schedule);
+                    }
                     PersistJob::Flush(ack) => {
                         let _ = ack.send(());
                     }
@@ -883,8 +993,8 @@ pub fn synthesize_system_cached(
 ) -> Result<(SystemSchedule, CacheOutcome), Box<SystemSynthesisError>> {
     let key = synthesis_key(system, graph, config, backend.name());
     let outcome = match cache.probe(&key) {
-        CacheProbe::Memory(schedule) | CacheProbe::Disk(schedule) => {
-            return Ok(((*schedule).clone(), CacheOutcome::Hit));
+        CacheProbe::Memory(resident) | CacheProbe::Disk(resident) => {
+            return Ok((resident.schedule().clone(), CacheOutcome::Hit));
         }
         CacheProbe::Corrupt => CacheOutcome::Corrupt,
         CacheProbe::Absent => CacheOutcome::Miss,
@@ -1039,6 +1149,97 @@ mod tests {
             base,
             synthesis_key(&diamond_sys, &diamond_graph, &config(), "ilp-incremental"),
             "system structure must be part of the key"
+        );
+    }
+
+    /// Keys recorded before the key text was streamed into the hasher: disk
+    /// caches written by earlier builds must keep hitting.
+    #[test]
+    fn keys_match_the_recorded_hex() {
+        let (two, two_graph, _, _) = fixtures::two_mode_graph();
+        let (diamond, diamond_graph, _) = fixtures::four_mode_diamond();
+        let mut tight = SchedulerConfig::new(millis(20), 3);
+        tight.solver.max_nodes = 10;
+        tight.solver.presolve = false;
+        let recorded = [
+            (
+                &two,
+                &two_graph,
+                config(),
+                "ilp-incremental",
+                "13e927d99e3816b2",
+            ),
+            (
+                &two,
+                &two_graph,
+                config(),
+                "greedy-heuristic",
+                "49659a77c325af87",
+            ),
+            (
+                &two,
+                &two_graph,
+                tight.clone(),
+                "ilp-incremental",
+                "ea04eae7783324f7",
+            ),
+            (
+                &two,
+                &two_graph,
+                tight.clone(),
+                "greedy-heuristic",
+                "ad7fd92363ac61d8",
+            ),
+            (
+                &diamond,
+                &diamond_graph,
+                config(),
+                "ilp-incremental",
+                "0fad9fd6ea223796",
+            ),
+            (
+                &diamond,
+                &diamond_graph,
+                config(),
+                "greedy-heuristic",
+                "7a3ae3258b86e1d5",
+            ),
+            (
+                &diamond,
+                &diamond_graph,
+                tight.clone(),
+                "ilp-incremental",
+                "79fcb36d57120205",
+            ),
+            (
+                &diamond,
+                &diamond_graph,
+                tight,
+                "greedy-heuristic",
+                "3982bfe1cae262c8",
+            ),
+        ];
+        for (system, graph, config, backend, key) in recorded {
+            assert_eq!(synthesis_key(system, graph, &config, backend), key);
+        }
+    }
+
+    #[test]
+    fn resident_schedules_encode_once_and_like_the_value_codec() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let schedule = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+            .expect("feasible");
+        let cache = ScheduleCache::in_memory();
+        let stored = cache.store("k", &schedule);
+        let CacheProbe::Memory(hit) = cache.probe("k") else {
+            panic!("stored key must hit the memory tier")
+        };
+        assert!(Arc::ptr_eq(&stored, &hit), "a hit shares the stored entry");
+        let first = hit.compact_json();
+        assert_eq!(first, system_schedule_to_value(&schedule).to_json());
+        assert!(
+            std::ptr::eq(first, stored.compact_json()),
+            "the encoding is computed once and shared"
         );
     }
 
@@ -1228,6 +1429,32 @@ mod tests {
             .find(|k| cache.peek(k).is_none())
             .expect("some key was evicted");
         assert!(matches!(cache.probe(&evicted_key), CacheProbe::Absent));
+    }
+
+    /// Regression test for the eviction/write-behind race: an entry evicted
+    /// from a capped memory tier before the persister published it used to
+    /// be in neither tier, so a probe right after the store missed a key the
+    /// cache had accepted.
+    #[test]
+    fn entries_evicted_before_their_disk_write_still_hit() {
+        let (sys, graph, _, _) = fixtures::two_mode_graph();
+        let schedule = synthesize_system(&sys, &graph, &config(), &IlpSynthesizer::default())
+            .expect("feasible");
+        let cache = temp_cache("evict-race").with_memory_cap(1);
+        let keys: Vec<String> = (0..200).map(|i| format!("{i:016x}")).collect();
+        for key in &keys {
+            cache.store(key, &schedule);
+        }
+        for key in &keys {
+            assert!(
+                cache.probe(key).schedule().is_some(),
+                "stored key {key} missed both tiers"
+            );
+        }
+        assert_eq!(cache.misses(), 0);
+        let dir = cache.dir().expect("disk-backed").to_path_buf();
+        drop(cache);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -6,9 +6,28 @@
 //! a [`Value`] tree, a strict recursive-descent [`Value::parse`] and a
 //! pretty-printing [`Value::to_json_pretty`] / compact [`Value::to_json`]
 //! writer. Object keys are kept in a `BTreeMap`, so output is deterministic.
+//!
+//! The parser is the entry point for bytes from outside the process (service
+//! request frames, cache files), so it is built to be safe on hostile input:
+//!
+//! * **Linear time.** Strings are copied run by run up to the next quote,
+//!   backslash or control character; no byte is examined more than a
+//!   constant number of times.
+//! * **Bounded depth.** Arrays and objects nest at most [`MAX_DEPTH`] levels.
+//!   Deeper input is a [`JsonError`], not a stack overflow that would abort
+//!   the process.
+//! * **Strict grammar.** Numbers follow RFC 8259 exactly (no leading zeros,
+//!   no bare `.5` or `1.`), and strings reject raw control characters
+//!   U+0000–U+001F. The writer always escapes those characters, so every
+//!   document it produces parses back to the same [`Value`].
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`Value::parse`] accepts. Every document
+/// this workspace writes nests fewer than ten levels; the cap only has to
+/// stop a hostile frame (say, 100 000 `[`) from exhausting the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document: the usual six value kinds.
 ///
@@ -72,8 +91,10 @@ impl Value {
     /// Parses a JSON document, requiring that the whole input is consumed.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
@@ -87,8 +108,14 @@ impl Value {
     /// Renders the value as compact JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_json(&mut out);
         out
+    }
+
+    /// Appends the compact JSON form of the value to `out` — the bytes
+    /// [`Value::to_json`] returns, for callers assembling a larger document.
+    pub fn write_json(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Renders the value as pretty-printed JSON (two-space indentation).
@@ -153,15 +180,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => {
-                // `{}` on f64 prints the shortest representation that parses
-                // back to the same value; integers print without a fraction.
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Value::Number(n) => write_number(out, *n),
             Value::String(s) => write_escaped(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
@@ -213,29 +232,65 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Writes a number exactly as `f64`'s `Display` does — the shortest form
+/// that parses back to the same value, integers without a fraction, `-0`
+/// for negative zero — and `null` for non-finite values.
+fn write_number(out: &mut String, n: f64) {
+    // Integers below 2^53 are exact in f64 and in i64, and both `Display`
+    // impls print them as plain digits, so the integer path (the common
+    // case: indices, offsets, counters) prints identical bytes faster.
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if n.fract() == 0.0 && n.abs() < EXACT {
+        if n == 0.0 && n.is_sign_negative() {
+            out.push_str("-0");
+        } else {
+            let _ = write!(out, "{}", n as i64);
+        }
+    } else if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Writes `s` as a quoted JSON string, copying each run of bytes that needs
+/// no escape in one piece. Every escaped byte is ASCII, so each run ends on
+/// a character boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            // Other control characters: written as `\u00XX` below.
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -271,12 +326,31 @@ impl Parser<'_> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(_) => Err(JsonError::at("unexpected character", self.pos)),
             None => Err(JsonError::at("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper, failing past
+    /// [`MAX_DEPTH`]. An error aborts the whole parse, so only the success
+    /// path has to restore the depth.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, JsonError> {
@@ -335,6 +409,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs a decision. Those
+            // bytes are all ASCII and `text` is valid UTF-8, so the run is
+            // whole characters.
+            let run = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(JsonError::at("unterminated string", self.pos)),
                 Some(b'"') => {
@@ -384,12 +469,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(JsonError::at(
+                        "unescaped control character in string",
+                        self.pos,
+                    ))
                 }
             }
         }
@@ -490,8 +573,42 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{not json", "[1,]", "{\"a\":}", "1 2", "", "\"unterminated"] {
-            assert!(Value::parse(bad).is_err(), "accepted: {bad}");
+        for bad in [
+            "{not json",
+            "[1,]",
+            "{\"a\":}",
+            "1 2",
+            "",
+            "\"unterminated",
+            // RFC 8259: raw U+0000–U+001F must be escaped inside strings.
+            "\"nul\u{0}byte\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "\"unit\u{1f}sep\"",
+            "{\"key\u{7}\": 1}",
+        ] {
+            assert!(Value::parse(bad).is_err(), "accepted: {bad:?}");
+        }
+        // DEL and non-ASCII are not control characters in JSON's sense.
+        assert_eq!(
+            Value::parse("\"\u{7f}é\"").unwrap(),
+            Value::String("\u{7f}é".to_owned())
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deepest).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Value::parse(&objects).is_ok());
+        for bomb in [
+            format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1)),
+            "[".repeat(100_000),
+            "{\"a\":[".repeat(50_000),
+        ] {
+            let error = Value::parse(&bomb).expect_err("too deep");
+            assert!(error.to_string().contains("nesting deeper than"), "{error}");
         }
     }
 
@@ -524,6 +641,44 @@ mod tests {
         for rendered in [original.to_json(), original.to_json_pretty()] {
             assert_eq!(Value::parse(&rendered).unwrap(), original);
         }
+    }
+
+    #[test]
+    fn numbers_print_exactly_like_f64_display() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            42.0,
+            40_000.5,
+            0.1,
+            -3.25e-7,
+            1e15,
+            1e21,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_993.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(Value::Number(n).to_json(), format!("{n}"), "{n:e}");
+        }
+        assert_eq!(Value::Number(-0.0).to_json(), "-0");
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Number(n).to_json(), "null");
+        }
+    }
+
+    #[test]
+    fn strings_escape_exactly_the_json_specials() {
+        let s = "plain \"q\" \\ / \n\r\t\u{8}\u{c}\u{0}\u{1f} é😀\u{7f}";
+        let json = Value::String(s.to_owned()).to_json();
+        assert_eq!(
+            json,
+            "\"plain \\\"q\\\" \\\\ / \\n\\r\\t\\b\\f\\u0000\\u001f é😀\u{7f}\""
+        );
+        assert_eq!(Value::parse(&json).unwrap(), Value::String(s.to_owned()));
     }
 
     #[test]

@@ -169,9 +169,14 @@ pub fn resynthesize_system(
                 }
             }
 
-            if let Some(reused) =
-                reusable_schedule(system, mode, &sources, &inherited, &artifacts, &predecessor)
-            {
+            if let Some(reused) = reusable_schedule(
+                system,
+                mode,
+                &sources,
+                &inherited,
+                &artifacts,
+                predecessor.schedule(),
+            ) {
                 report.modes_reused += 1;
                 result.stats.insert(mode, reused.stats.clone());
                 result.inheritance.insert(mode, sources);

@@ -18,10 +18,11 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use ttw_core::schedule::SystemSchedule;
+use ttw_core::cache::ResidentSchedule;
 
-/// What a flight resolves to: a shared schedule or a failure message.
-pub type FlightResult = Result<Arc<SystemSchedule>, String>;
+/// What a flight resolves to: a shared schedule (with its once-encoded
+/// JSON) or a failure message.
+pub type FlightResult = Result<Arc<ResidentSchedule>, String>;
 
 #[derive(Debug)]
 struct Flight {
@@ -174,11 +175,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn dummy_schedule() -> Arc<SystemSchedule> {
+    fn dummy_schedule() -> Arc<ResidentSchedule> {
         use ttw_core::config::SchedulerConfig;
         use ttw_core::time::millis;
         let (sys, graph, _, _) = ttw_core::fixtures::two_mode_graph();
-        Arc::new(
+        Arc::new(ResidentSchedule::new(
             ttw_core::synthesis::synthesize_system(
                 &sys,
                 &graph,
@@ -186,7 +187,7 @@ mod tests {
                 &ttw_core::synthesis::IlpSynthesizer::default(),
             )
             .expect("feasible"),
-        )
+        ))
     }
 
     #[test]

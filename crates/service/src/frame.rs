@@ -16,6 +16,12 @@ use std::io::{self, Read, Write};
 /// try to allocate it.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// Payload bytes [`read_frame`] reserves before any arrive. Frames up to
+/// this size (every request and reply the service sends today) take one
+/// allocation; a larger one grows with the bytes actually received, so a
+/// length word that lies costs at most this much memory.
+const INITIAL_FRAME_CAPACITY: usize = 64 << 10;
+
 /// Writes one length-prefixed frame and flushes the writer.
 ///
 /// # Errors
@@ -74,8 +80,17 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_FRAME_CAPACITY));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "connection closed after {} of {len} payload bytes",
+                payload.len()
+            ),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -89,6 +104,11 @@ mod tests {
         write_frame(&mut wire, b"first").unwrap();
         write_frame(&mut wire, b"").unwrap();
         write_frame(&mut wire, b"third frame").unwrap();
+        // Larger than the reader's initial buffer: it must grow, not truncate.
+        let large: Vec<u8> = (0..3 * INITIAL_FRAME_CAPACITY + 7)
+            .map(|i| i as u8)
+            .collect();
+        write_frame(&mut wire, &large).unwrap();
         let mut reader = wire.as_slice();
         assert_eq!(
             read_frame(&mut reader).unwrap().as_deref(),
@@ -99,6 +119,7 @@ mod tests {
             read_frame(&mut reader).unwrap().as_deref(),
             Some(&b"third frame"[..])
         );
+        assert_eq!(read_frame(&mut reader).unwrap(), Some(large));
         assert!(read_frame(&mut reader).unwrap().is_none());
     }
 
@@ -133,6 +154,19 @@ mod tests {
         assert_eq!(
             read_frame(&mut reader).unwrap_err().kind(),
             io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn max_length_header_then_eof_is_unexpected_eof() {
+        // The largest legal claim with no payload behind it: the reader must
+        // fail on the missing bytes, not reserve 64 MiB up front.
+        let mut wire = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(b"only a few bytes");
+        let mut reader = wire.as_slice();
+        assert_eq!(
+            read_frame(&mut reader).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
         );
     }
 

@@ -26,7 +26,10 @@
 //! ```
 
 use crate::stats::StatsSnapshot;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use ttw_core::cache::ResidentSchedule;
 use ttw_core::config::SchedulerConfig;
 use ttw_core::export::{
     mode_graph_from_value, mode_graph_to_value, scheduler_config_from_value,
@@ -185,6 +188,43 @@ pub struct ScheduleReply {
     pub request_milp_nodes: usize,
     /// Wall-clock service time of this request in microseconds.
     pub service_micros: u64,
+    /// The cache entry `schedule` was copied from, when the service served
+    /// one: [`Response::to_json`] embeds its once-encoded JSON instead of
+    /// encoding `schedule` again. Never set by [`Response::from_json`].
+    pub(crate) resident: Option<Arc<ResidentSchedule>>,
+}
+
+impl ScheduleReply {
+    /// The compact JSON of the schedule: the resident entry's cached
+    /// encoding while `schedule` still equals it (the field is public, so a
+    /// caller may have edited the reply), a fresh encoding otherwise.
+    fn schedule_json(&self) -> Cow<'_, str> {
+        match &self.resident {
+            Some(resident) if *resident.schedule() == self.schedule => {
+                Cow::Borrowed(resident.compact_json())
+            }
+            _ => Cow::Owned(system_schedule_to_value(&self.schedule).to_json()),
+        }
+    }
+
+    /// Writes the `schedule` response document around the schedule's
+    /// compact JSON, byte for byte what [`Response::to_value`] renders: the
+    /// keys in the sorted order of its `BTreeMap`, numbers through the same
+    /// writer.
+    fn to_json(&self) -> String {
+        let schedule = self.schedule_json();
+        let mut out = String::with_capacity(schedule.len() + 128);
+        out.push_str("{\"request_milp_nodes\":");
+        Value::Number(self.request_milp_nodes as f64).write_json(&mut out);
+        out.push_str(",\"schedule\":");
+        out.push_str(&schedule);
+        out.push_str(",\"served\":");
+        Value::String(self.served.wire_name().into()).write_json(&mut out);
+        out.push_str(",\"service_micros\":");
+        Value::Number(self.service_micros as f64).write_json(&mut out);
+        out.push_str(",\"type\":\"schedule\"}");
+        out
+    }
 }
 
 /// A response frame.
@@ -203,11 +243,10 @@ pub enum Response {
     ShutdownAck,
 }
 
-fn obj(value: &Value, what: &str) -> Result<BTreeMap<String, Value>, JsonError> {
-    match value {
-        Value::Object(map) => Ok(map.clone()),
-        _ => Err(JsonError::custom(format!("{what} must be a JSON object"))),
-    }
+fn obj<'a>(value: &'a Value, what: &str) -> Result<&'a BTreeMap<String, Value>, JsonError> {
+    value
+        .as_object()
+        .ok_or_else(|| JsonError::custom(format!("{what} must be a JSON object")))
 }
 
 fn field<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, JsonError> {
@@ -215,10 +254,9 @@ fn field<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, 
         .ok_or_else(|| JsonError::custom(format!("missing field `{name}`")))
 }
 
-fn field_str(map: &BTreeMap<String, Value>, name: &str) -> Result<String, JsonError> {
+fn field_str<'a>(map: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a str, JsonError> {
     field(map, name)?
         .as_str()
-        .map(str::to_owned)
         .ok_or_else(|| JsonError::custom(format!("`{name}` must be a string")))
 }
 
@@ -266,8 +304,8 @@ fn synthesize_body_from_map(map: &BTreeMap<String, Value>) -> Result<SynthesizeR
         Some(value) => {
             let budget = obj(value, "`budget`")?;
             BudgetCaps {
-                max_nodes: optional_usize(&budget, "max_nodes")?,
-                max_simplex_iterations: optional_usize(&budget, "max_simplex_iterations")?,
+                max_nodes: optional_usize(budget, "max_nodes")?,
+                max_simplex_iterations: optional_usize(budget, "max_simplex_iterations")?,
             }
         }
     };
@@ -275,7 +313,7 @@ fn synthesize_body_from_map(map: &BTreeMap<String, Value>) -> Result<SynthesizeR
         system: system_from_value(field(map, "system")?)?,
         graph: mode_graph_from_value(field(map, "mode_graph")?)?,
         config: scheduler_config_from_value(field(map, "config")?)?,
-        backend: BackendKind::from_wire(&field_str(map, "backend")?)?,
+        backend: BackendKind::from_wire(field_str(map, "backend")?)?,
         budget,
     })
 }
@@ -329,13 +367,13 @@ impl Request {
     /// As [`Request::from_json`].
     pub fn from_value(value: &Value) -> Result<Self, JsonError> {
         let map = obj(value, "request")?;
-        match field_str(&map, "type")?.as_str() {
+        match field_str(map, "type")? {
             "synthesize" => Ok(Request::Synthesize(Box::new(synthesize_body_from_map(
-                &map,
+                map,
             )?))),
             "resynthesize" => Ok(Request::Resynthesize(Box::new(ResynthesizeRequest {
-                base: synthesize_body_from_map(&map)?,
-                predecessor: field_str(&map, "predecessor")?,
+                base: synthesize_body_from_map(map)?,
+                predecessor: field_str(map, "predecessor")?.to_owned(),
             }))),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
@@ -345,9 +383,15 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes the response to a compact JSON document.
+    /// Serializes the response to a compact JSON document: exactly
+    /// `self.to_value().to_json()`, but a schedule reply writes its envelope
+    /// around the schedule's compact JSON, which a reply served from the
+    /// cache takes ready-encoded from the cache entry.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        match self {
+            Response::Schedule(reply) => reply.to_json(),
+            _ => self.to_value().to_json(),
+        }
     }
 
     /// The [`Value`]-level form of [`Response::to_json`].
@@ -406,18 +450,19 @@ impl Response {
     /// As [`Response::from_json`].
     pub fn from_value(value: &Value) -> Result<Self, JsonError> {
         let map = obj(value, "response")?;
-        match field_str(&map, "type")?.as_str() {
+        match field_str(map, "type")? {
             "schedule" => Ok(Response::Schedule(Box::new(ScheduleReply {
-                schedule: system_schedule_from_value(field(&map, "schedule")?)?,
-                served: ServedFrom::from_wire(&field_str(&map, "served")?)?,
-                request_milp_nodes: field_usize(&map, "request_milp_nodes")?,
-                service_micros: field_usize(&map, "service_micros")? as u64,
+                schedule: system_schedule_from_value(field(map, "schedule")?)?,
+                served: ServedFrom::from_wire(field_str(map, "served")?)?,
+                request_milp_nodes: field_usize(map, "request_milp_nodes")?,
+                service_micros: field_usize(map, "service_micros")? as u64,
+                resident: None,
             }))),
             "stats" => Ok(Response::Stats(StatsSnapshot::from_fields(|name| {
-                field_usize(&map, name)
+                field_usize(map, name)
             })?)),
             "error" => Ok(Response::Error {
-                message: field_str(&map, "message")?,
+                message: field_str(map, "message")?.to_owned(),
             }),
             "shutdown-ack" => Ok(Response::ShutdownAck),
             other => Err(JsonError::custom(format!(
@@ -526,6 +571,7 @@ mod tests {
             schedule,
             served: ServedFrom::Solved,
             service_micros: 1234,
+            resident: None,
         }));
         let back = Response::from_json(reply.to_json().as_bytes()).expect("parses");
         let Response::Schedule(parsed) = back else {
@@ -554,6 +600,13 @@ mod tests {
             Response::from_json(Response::ShutdownAck.to_json().as_bytes()),
             Ok(Response::ShutdownAck)
         ));
+    }
+
+    #[test]
+    fn depth_bomb_request_is_an_error_not_a_stack_overflow() {
+        let bomb = "[".repeat(100_000);
+        let error = Request::from_json(bomb.as_bytes()).expect_err("too deep");
+        assert!(error.to_string().contains("nesting deeper than"), "{error}");
     }
 
     #[test]

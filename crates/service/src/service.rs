@@ -10,7 +10,11 @@
 //!    *before* the cache key is computed, so differently-budgeted requests
 //!    never alias one cache entry.
 //! 2. **Cache probe** — memory tier, then disk tier (promoting). A hit is
-//!    served with zero solver nodes.
+//!    served with zero solver nodes, and encoded once: the reply carries
+//!    the cache's [`ResidentSchedule`], whose compact JSON is computed on
+//!    its first use and reused by every later reply, so
+//!    [`Response::to_json`](crate::protocol::Response::to_json) only writes
+//!    the small envelope around it.
 //! 3. **Coalescing** — a miss joins the in-flight table. Followers block on
 //!    the leader's flight. A fresh leader *re-probes* the cache: the prior
 //!    leader for this key may have stored and retired between our probe and
@@ -19,7 +23,9 @@
 //! 4. **Admission** — leaders that still need a solver acquire a slot from
 //!    the bounded [`AdmissionQueue`] (or bounce with `overloaded`).
 //! 5. **Solve, store, publish** — the backend runs, the result lands in the
-//!    cache *before* the flight retires, and followers wake.
+//!    cache *before* the flight retires, and followers wake. The leader and
+//!    its followers share the stored entry, so the schedule is encoded once
+//!    for all of their replies.
 
 use crate::admission::AdmissionQueue;
 use crate::coalesce::{InflightTable, Role};
@@ -31,7 +37,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use ttw_core::cache::{synthesis_key, CacheProbe, ScheduleCache};
+use ttw_core::cache::{synthesis_key, CacheProbe, ResidentSchedule, ScheduleCache};
 use ttw_core::config::SchedulerConfig;
 use ttw_core::resynth::resynthesize_system;
 use ttw_core::synthesis::{synthesize_system, HeuristicSynthesizer, IlpSynthesizer, Synthesizer};
@@ -241,16 +247,16 @@ impl SchedulerService {
                 drop(permit);
                 match result {
                     Ok(schedule) => {
-                        self.cache.store(&key, &schedule);
-                        let schedule = Arc::new(schedule);
+                        let resident = self.cache.store(&key, &schedule);
                         ServiceStats::bump(&self.stats.solved);
                         let reply = ScheduleReply {
                             request_milp_nodes: schedule.total_milp_nodes(),
-                            schedule: (*schedule).clone(),
+                            schedule,
                             served: ServedFrom::Solved,
                             service_micros: start.elapsed().as_micros() as u64,
+                            resident: Some(Arc::clone(&resident)),
                         };
-                        self.inflight.complete(token, Ok(schedule));
+                        self.inflight.complete(token, Ok(resident));
                         Ok(reply)
                     }
                     Err(error) => {
@@ -366,15 +372,18 @@ impl SchedulerService {
                 drop(permit);
                 match result {
                     Ok((schedule, report)) => {
-                        let schedule = Arc::new(schedule);
+                        // The entry resynthesize_system stored is not handed
+                        // back, so followers share an encoding of their own.
+                        let resident = Arc::new(ResidentSchedule::new(schedule.clone()));
                         ServiceStats::bump(&self.stats.incremental);
                         let reply = ScheduleReply {
                             request_milp_nodes: report.solved_milp_nodes,
-                            schedule: (*schedule).clone(),
+                            schedule,
                             served: ServedFrom::Incremental,
                             service_micros: start.elapsed().as_micros() as u64,
+                            resident: Some(Arc::clone(&resident)),
                         };
-                        self.inflight.complete(token, Ok(schedule));
+                        self.inflight.complete(token, Ok(resident));
                         Ok(reply)
                     }
                     Err(error) => {
@@ -390,15 +399,16 @@ impl SchedulerService {
 
     fn warm_reply(
         &self,
-        schedule: &Arc<ttw_core::schedule::SystemSchedule>,
+        resident: &Arc<ResidentSchedule>,
         served: ServedFrom,
         start: Instant,
     ) -> ScheduleReply {
         ScheduleReply {
-            schedule: (**schedule).clone(),
+            schedule: resident.schedule().clone(),
             served,
             request_milp_nodes: 0,
             service_micros: start.elapsed().as_micros() as u64,
+            resident: Some(Arc::clone(resident)),
         }
     }
 }
@@ -408,7 +418,9 @@ mod tests {
     use super::*;
     use crate::protocol::BudgetCaps;
     use ttw_core::fixtures;
+    use ttw_core::json::Value;
     use ttw_core::time::millis;
+    use ttw_testkit::{generate, GeneratorConfig, GraphShape};
 
     fn request(backend: BackendKind) -> SynthesizeRequest {
         let (system, graph, _, _) = fixtures::two_mode_graph();
@@ -437,6 +449,96 @@ mod tests {
         assert_eq!(stats.solved, 1);
         assert_eq!(stats.cache_mem_hits, 1);
         assert!(stats.reconciles(), "{stats:?}");
+    }
+
+    /// Asserts that the encode-once bytes of `reply` are exactly what the
+    /// `Value` codec renders for it, and that the `Value` form survives
+    /// compact and pretty round trips through the parser.
+    fn assert_reply_bytes_match_the_value_codec(reply: ScheduleReply, context: &str) {
+        let resident = reply.resident.as_ref().expect(context);
+        // The condition under which `to_json` embeds the cached bytes.
+        assert!(*resident.schedule() == reply.schedule, "{context}");
+        let response = crate::protocol::Response::Schedule(Box::new(reply));
+        let value = response.to_value();
+        assert_eq!(response.to_json(), value.to_json(), "{context}");
+        for text in [value.to_json(), value.to_json_pretty()] {
+            assert_eq!(Value::parse(&text).expect(context), value, "{context}");
+        }
+    }
+
+    /// Every `ServedFrom` variant, over a seeded sweep of generated chains
+    /// and diamonds of 2–16 modes: the reply the service builds encodes to
+    /// the same bytes as the `Value` codec.
+    #[test]
+    fn encode_once_replies_are_byte_identical_for_every_provenance() {
+        let dir = std::env::temp_dir().join(format!("ttw-service-bytes-{}", std::process::id()));
+        let disk_backed = || {
+            SchedulerService::new(ServiceConfig {
+                cache_dir: Some(dir.clone()),
+                ..ServiceConfig::default()
+            })
+        };
+        // Chains go to the exact solver; diamonds to the greedy backend,
+        // which keeps the wide ones fast in unoptimized test builds. The
+        // seeds draw scenarios each backend schedules.
+        let sweep = [
+            (GraphShape::Chain, 2, BackendKind::Ilp),
+            (GraphShape::Chain, 4, BackendKind::Ilp),
+            (GraphShape::Chain, 8, BackendKind::Ilp),
+            (GraphShape::Chain, 16, BackendKind::Ilp),
+            (GraphShape::Diamond, 2, BackendKind::Heuristic),
+            (GraphShape::Diamond, 4, BackendKind::Heuristic),
+            (GraphShape::Diamond, 8, BackendKind::Heuristic),
+            (GraphShape::Diamond, 16, BackendKind::Heuristic),
+        ];
+        for (shape, num_modes, backend) in sweep {
+            let seed = if backend == BackendKind::Ilp { 2 } else { 3 };
+            let scenario = generate(&GeneratorConfig::small(num_modes, shape), seed);
+            let context = format!("{shape:?}, {num_modes} modes, seed {seed}, {backend:?}");
+            let request = SynthesizeRequest {
+                config: scenario.scheduler_config(),
+                system: scenario.system,
+                graph: scenario.graph,
+                backend,
+                budget: BudgetCaps::default(),
+            };
+            let _ = std::fs::remove_dir_all(&dir);
+            let service = disk_backed();
+            let solved = service.handle_synthesize(&request).expect(&context);
+            let memory = service.handle_synthesize(&request).expect(&context);
+            let resident = service
+                .cache()
+                .peek(&service.request_key(&request))
+                .expect(&context);
+            let coalesced = service.warm_reply(&resident, ServedFrom::Coalesced, Instant::now());
+            service.cache().flush();
+            let disk = disk_backed().handle_synthesize(&request).expect(&context);
+            // A predecessor the cache has never seen degrades to a full solve
+            // under the same key, so it runs on a fresh service.
+            let incremental = SchedulerService::in_memory()
+                .handle_resynthesize(&ResynthesizeRequest {
+                    base: request.clone(),
+                    predecessor: "no-such-entry".into(),
+                })
+                .expect(&context);
+            let replies = [solved, memory, coalesced, disk, incremental];
+            let served: Vec<_> = replies.iter().map(|r| r.served).collect();
+            assert_eq!(
+                served,
+                [
+                    ServedFrom::Solved,
+                    ServedFrom::Memory,
+                    ServedFrom::Coalesced,
+                    ServedFrom::Disk,
+                    ServedFrom::Incremental
+                ],
+                "{context}"
+            );
+            for reply in replies {
+                assert_reply_bytes_match_the_value_codec(reply, &context);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -167,6 +167,27 @@ fn malformed_frames_get_an_error_response_not_a_hangup() {
 }
 
 #[test]
+fn depth_bomb_frame_gets_an_error_reply_and_the_server_keeps_serving() {
+    use ttw_service::frame::{read_frame, write_frame};
+    let server = start_server();
+    {
+        // 100 000 nested arrays: unbounded recursive descent would overflow
+        // the connection thread's stack and abort the whole server.
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+        write_frame(&mut stream, "[".repeat(100_000).as_bytes()).expect("write");
+        let payload = read_frame(&mut stream).expect("read").expect("response");
+        let text = String::from_utf8(payload).expect("utf-8");
+        assert!(text.contains("\"error\""), "{text}");
+        assert!(text.contains("nesting deeper than"), "{text}");
+    }
+    let mut client = Client::connect(server.addr()).expect("server still accepts");
+    let reply = client
+        .synthesize(fig3_request(BackendKind::Ilp))
+        .expect("server still serves");
+    assert_eq!(reply.served, ServedFrom::Solved);
+}
+
+#[test]
 fn disk_tier_survives_a_server_restart() {
     let dir = std::env::temp_dir().join(format!("ttw-service-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
